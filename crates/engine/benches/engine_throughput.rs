@@ -60,11 +60,13 @@ fn sweep(ctx: &Arc<ExperimentContext>, batch: &[Datalog]) -> Vec<SweepPoint> {
         .map(|&workers| {
             let engine = BatchEngine::new(EngineConfig::with_workers(workers));
             // Warm-up run, then the timed + observed run.
-            let _ = engine.diagnose_batch(ctx, batch).expect("batch runs");
+            let _ = engine
+                .diagnose_batch(ctx, batch, None, None)
+                .expect("batch runs");
             let collector = Collector::new();
             let t0 = Instant::now();
             let report = engine
-                .diagnose_batch_observed(ctx, batch, Some(&collector))
+                .diagnose_batch(ctx, batch, Some(&collector), None)
                 .expect("batch runs");
             let seconds = t0.elapsed().as_secs_f64().max(1e-9);
             let applied = (batch.len() * ctx.patterns.len()) as f64;
@@ -176,7 +178,11 @@ fn bench_engine(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &(&ctx, &batch),
             |b, (ctx, batch)| {
-                b.iter(|| engine.diagnose_batch(ctx, batch).expect("batch runs"));
+                b.iter(|| {
+                    engine
+                        .diagnose_batch(ctx, batch, None, None)
+                        .expect("batch runs")
+                });
             },
         );
     }

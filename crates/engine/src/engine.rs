@@ -1,23 +1,18 @@
-//! The batch-diagnosis job graph: one front-end job per datalog, one
-//! analysis job per (datalog × suspected gate), deterministic merging.
+//! The batch entry point: a whole batch of datalogs through the
+//! diagnosis job graph on a short-lived [`DiagnosisService`].
 
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use icd_bench::flow::{
-    analyze_suspect, select_suspects, ExperimentContext, FlowError, FlowReport, FlowStage,
-    GateAnalysis, SkippedGate,
-};
+use icd_bench::flow::{ExperimentContext, FlowError, FlowReport};
 use icd_core::{AnalysisCache, CacheStats};
 use icd_faultsim::Datalog;
-use icd_intercell::IntercellDiagnosis;
-use icd_netlist::GateId;
+use icd_obs::Collector;
 
 use crate::cancel::CancelToken;
-use crate::pool::WorkerPool;
+use crate::service::DiagnosisService;
 
 /// Engine sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,144 +155,11 @@ impl BatchReport {
     }
 }
 
-/// Immutable per-datalog artifacts shared by that datalog's suspect jobs.
-pub(crate) struct FrontShared {
-    pub(crate) datalog: Datalog,
-    pub(crate) inter: IntercellDiagnosis,
-}
-
-/// What the front-end stage of one datalog produced.
-pub(crate) enum FrontOutput {
-    /// The report is already complete (test escape, or failing patterns
-    /// without any analyzable suspect).
-    Done(Box<FlowReport>),
-    /// Suspects to fan out.
-    Work {
-        sanitize: icd_faultsim::SanitizeLog,
-        failing_patterns: usize,
-        unexplained: Vec<usize>,
-        shared: Arc<FrontShared>,
-        suspects: Vec<GateId>,
-    },
-}
-
-enum Message {
-    Front {
-        index: usize,
-        output: Result<FrontOutput, JobError>,
-        busy_us: u64,
-    },
-    Suspect {
-        index: usize,
-        slot: usize,
-        result: Box<Result<GateAnalysis, (FlowStage, FlowError)>>,
-        busy_us: u64,
-    },
-}
-
-/// In-flight merge state of one datalog.
-pub(crate) struct Pending {
-    pub(crate) sanitize: icd_faultsim::SanitizeLog,
-    pub(crate) failing_patterns: usize,
-    pub(crate) unexplained: Vec<usize>,
-    pub(crate) suspects: Vec<GateId>,
-    pub(crate) slots: Vec<Option<Result<GateAnalysis, (FlowStage, FlowError)>>>,
-    pub(crate) filled: usize,
-}
-
-impl Pending {
-    /// Merges the filled slots in suspect order — the exact order the
-    /// sequential staged flow records analyses and skips, so the merged
-    /// report is byte-identical to the single-threaded one.
-    pub(crate) fn merge(self) -> FlowReport {
-        let mut analyses = Vec::new();
-        let mut skipped = Vec::new();
-        for (gate, slot) in self.suspects.into_iter().zip(self.slots) {
-            match slot {
-                Some(Ok(analysis)) => analyses.push(analysis),
-                Some(Err((stage, error))) => skipped.push(SkippedGate { gate, stage, error }),
-                // Unreachable by construction (merge runs only when every
-                // slot is filled); degrade rather than panic.
-                None => skipped.push(SkippedGate {
-                    gate,
-                    stage: FlowStage::Worker,
-                    error: FlowError::Panicked("suspect job result missing".to_owned()),
-                }),
-            }
-        }
-        FlowReport {
-            failing_patterns: self.failing_patterns,
-            sanitize: self.sanitize,
-            analyses,
-            skipped,
-            unexplained: self.unexplained,
-        }
-    }
-}
-
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
-/// The front half of the staged flow for one datalog: sanitation, escape
-/// check, inter-cell diagnosis, suspect selection. Runs on a worker.
-pub(crate) fn front_stage(
-    ctx: &ExperimentContext,
-    good: &icd_faultsim::BitValues,
-    datalog: &Datalog,
-) -> Result<FrontOutput, JobError> {
-    let (datalog, sanitize) = {
-        let _s = icd_obs::stage("flow.sanitize");
-        datalog.sanitize(ctx.circuit.outputs().len())
-    };
-    let escaped = {
-        let _s = icd_obs::stage("flow.escape_check");
-        datalog.all_pass()
-    };
-    if escaped {
-        return Ok(FrontOutput::Done(Box::new(FlowReport {
-            failing_patterns: 0,
-            sanitize,
-            analyses: Vec::new(),
-            skipped: Vec::new(),
-            unexplained: Vec::new(),
-        })));
-    }
-    let inter = {
-        let _s = icd_obs::stage("flow.intercell");
-        icd_intercell::diagnose_with_good(&ctx.circuit, &ctx.patterns, &datalog, good)
-            .map_err(|e| JobError::Flow(FlowError::Intercell(e)))?
-    };
-    let suspects = select_suspects(&inter);
-    if suspects.is_empty() {
-        return Ok(FrontOutput::Done(Box::new(FlowReport {
-            failing_patterns: datalog.entries.len(),
-            sanitize,
-            analyses: Vec::new(),
-            skipped: Vec::new(),
-            unexplained: inter.unexplained,
-        })));
-    }
-    Ok(FrontOutput::Work {
-        sanitize,
-        failing_patterns: datalog.entries.len(),
-        unexplained: inter.unexplained.clone(),
-        shared: Arc::new(FrontShared { datalog, inter }),
-        suspects,
-    })
-}
-
 /// The parallel batch-diagnosis engine.
 ///
-/// Wraps the staged flow of `icd-bench` in a job graph executed on a
-/// [`WorkerPool`]: per datalog a front-end job (sanitize → escape check →
-/// inter-cell diagnosis → suspect selection), then per suspected gate an
+/// Runs a batch through the job graph of [`DiagnosisService`]: per
+/// datalog a front-end job (sanitize → escape check → inter-cell
+/// diagnosis → suspect selection), then per suspected gate an
 /// independent analysis job sharing the `Arc`-held context, good-machine
 /// simulation and [`AnalysisCache`]. Results merge deterministically —
 /// the produced [`FlowReport`]s are identical (including their `Debug`
@@ -314,12 +176,24 @@ impl BatchEngine {
         BatchEngine { config }
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
     /// Diagnoses a batch of datalogs against one shared context.
+    ///
+    /// The batch runs on a short-lived [`DiagnosisService`] whose
+    /// submissions wait for queue space without a deadline: every front
+    /// job goes first, in input order, and each datalog's suspects fan
+    /// out as its front result arrives.
+    ///
+    /// `cache` defaults to a batch-private one. The cache is transparent
+    /// (identical reports warm or cold), so a volume run can carry one —
+    /// possibly preloaded from an on-disk snapshot — across batches of
+    /// the same design; [`BatchStats`] and the observed `cache.*`
+    /// counters then cover its whole lifetime.
+    ///
+    /// A `collector` is installed for the whole run: every job executes
+    /// under a span carrying its merge identity (`batch.front` with a
+    /// `datalog` attribute, `batch.suspect` with `datalog` and `slot`),
+    /// and the batch, cache and pool counters are recorded into it once
+    /// the pool is joined.
     ///
     /// # Errors
     ///
@@ -330,256 +204,31 @@ impl BatchEngine {
         &self,
         ctx: &Arc<ExperimentContext>,
         datalogs: &[Datalog],
+        collector: Option<&Collector>,
+        cache: Option<&Arc<AnalysisCache>>,
     ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_observed(ctx, datalogs, None)
-    }
-
-    /// [`diagnose_batch`](BatchEngine::diagnose_batch) with observability
-    /// attached: when `collector` is given it is installed for the whole
-    /// run, every job executes under a span carrying its merge identity
-    /// (`batch.front` with a `datalog` attribute, `batch.suspect` with
-    /// `datalog` and `slot`), and the run's cache, set-cover and pool
-    /// health counters are recorded into it before the pool is joined.
-    ///
-    /// # Errors
-    ///
-    /// As [`diagnose_batch`](BatchEngine::diagnose_batch).
-    pub fn diagnose_batch_observed(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-    ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_cancellable(ctx, datalogs, collector, &CancelToken::new())
-    }
-
-    /// [`diagnose_batch_observed`](BatchEngine::diagnose_batch_observed)
-    /// under a cooperative [`CancelToken`]: the token is checked at every
-    /// job boundary (before each datalog's front stage and before each
-    /// per-suspect analysis). Once it reports cancelled — explicitly or
-    /// through its deadline — not-yet-started front jobs resolve to
-    /// [`JobError::Flow`]`(`[`FlowError::Cancelled`]`)`, not-yet-started
-    /// suspect jobs become [`SkippedGate`]s carrying
-    /// [`FlowError::Cancelled`], and already-running work finishes
-    /// normally. A cancelled job never poisons the pool: the merge loop
-    /// still drains every outstanding result, so the returned report
-    /// accounts for every datalog.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] when the token is already
-    /// cancelled before the batch-wide good-machine simulation starts;
-    /// otherwise as [`diagnose_batch`](BatchEngine::diagnose_batch).
-    pub fn diagnose_batch_cancellable(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-        token: &CancelToken,
-    ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_with_cache(
-            ctx,
-            datalogs,
-            collector,
-            token,
-            &Arc::new(AnalysisCache::new()),
-        )
-    }
-
-    /// [`diagnose_batch_cancellable`](BatchEngine::diagnose_batch_cancellable)
-    /// with a caller-owned [`AnalysisCache`] instead of a batch-private
-    /// one. The cache is strictly transparent (identical reports warm or
-    /// cold), so a volume run can carry one cache — possibly preloaded
-    /// from an on-disk snapshot — across many batches of the same design
-    /// and skip the per-cell-type truth-table derivations entirely.
-    ///
-    /// The reported [`BatchStats`] and observed `cache.*` counters cover
-    /// the cache's whole lifetime, not just this batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`diagnose_batch_cancellable`](BatchEngine::diagnose_batch_cancellable).
-    pub fn diagnose_batch_with_cache(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-        token: &CancelToken,
-        cache: &Arc<AnalysisCache>,
-    ) -> Result<BatchReport, FlowError> {
-        let _recording = collector.map(icd_obs::Collector::install);
-        if token.is_cancelled() {
-            return Err(FlowError::Cancelled);
-        }
+        let _recording = collector.map(Collector::install);
         let t0 = Instant::now();
         let good = {
             let _s = icd_obs::stage("batch.good_simulate");
             Arc::new(icd_faultsim::good_simulate(&ctx.circuit, &ctx.patterns)?)
         };
-        let cache = Arc::clone(cache);
-        let pool = WorkerPool::new(self.config.workers, self.config.queue_capacity);
-        // Results flow back over one mpsc channel; the coordinator keeps
-        // the master sender so `recv` can never observe an early close
-        // while jobs are outstanding.
-        let (tx, rx) = mpsc::channel::<Message>();
-
-        for (index, datalog) in datalogs.iter().enumerate() {
-            let ctx = Arc::clone(ctx);
-            let good = Arc::clone(&good);
-            let job_tx = tx.clone();
-            let datalog = datalog.clone();
-            let token = token.clone();
-            pool.submit(Box::new(move || {
-                let job_t0 = Instant::now();
-                let _span = icd_obs::span_with("batch.front", &[("datalog", index as u64)]);
-                let output = if token.is_cancelled() {
-                    Err(JobError::Flow(FlowError::Cancelled))
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| front_stage(&ctx, &good, &datalog))) {
-                        Ok(r) => r,
-                        Err(p) => Err(JobError::Panicked(panic_message(p))),
-                    }
-                };
-                let _ = job_tx.send(Message::Front {
-                    index,
-                    output,
-                    busy_us: job_t0.elapsed().as_micros() as u64,
-                });
-            }));
-        }
-
-        let mut outcomes: Vec<Option<Result<FlowReport, JobError>>> =
-            (0..datalogs.len()).map(|_| None).collect();
-        let mut pending: Vec<Option<Pending>> = (0..datalogs.len()).map(|_| None).collect();
-        let mut remaining = datalogs.len();
-        let mut suspect_jobs = 0usize;
-        let mut device_busy_us: Vec<u64> = vec![0; datalogs.len()];
-
-        while remaining > 0 {
-            let Ok(msg) = rx.recv() else {
-                // Unreachable (the master sender lives in this scope);
-                // degrade instead of hanging if it ever happens.
-                break;
-            };
-            match msg {
-                Message::Front {
-                    index,
-                    output,
-                    busy_us,
-                } => {
-                    device_busy_us[index] += busy_us;
-                    match output {
-                        Ok(FrontOutput::Done(report)) => {
-                            outcomes[index] = Some(Ok(*report));
-                            remaining -= 1;
-                        }
-                        Ok(FrontOutput::Work {
-                            sanitize,
-                            failing_patterns,
-                            unexplained,
-                            shared,
-                            suspects,
-                        }) => {
-                            pending[index] = Some(Pending {
-                                sanitize,
-                                failing_patterns,
-                                unexplained,
-                                suspects: suspects.clone(),
-                                slots: (0..suspects.len()).map(|_| None).collect(),
-                                filled: 0,
-                            });
-                            // Largest fanout cones first: the most expensive
-                            // per-suspect resimulations start earliest, so no
-                            // big cone straggles at the tail of the pool.
-                            // Results merge by original slot, so the report is
-                            // independent of submission order (the sort is
-                            // stable, keeping the schedule deterministic too).
-                            let mut order: Vec<usize> = (0..suspects.len()).collect();
-                            order.sort_by_key(|&s| {
-                                std::cmp::Reverse(ctx.circuit.cone_size(suspects[s]))
-                            });
-                            for slot in order {
-                                let gate = suspects[slot];
-                                suspect_jobs += 1;
-                                let ctx = Arc::clone(ctx);
-                                let good = Arc::clone(&good);
-                                let cache = Arc::clone(&cache);
-                                let shared = Arc::clone(&shared);
-                                let job_tx = tx.clone();
-                                let token = token.clone();
-                                pool.submit(Box::new(move || {
-                                    let job_t0 = Instant::now();
-                                    let _span = icd_obs::span_with(
-                                        "batch.suspect",
-                                        &[("datalog", index as u64), ("slot", slot as u64)],
-                                    );
-                                    let result =
-                                        if token.is_cancelled() {
-                                            Err((FlowStage::Worker, FlowError::Cancelled))
-                                        } else {
-                                            catch_unwind(AssertUnwindSafe(|| {
-                                                analyze_suspect(
-                                                    &ctx,
-                                                    &shared.datalog,
-                                                    &shared.inter,
-                                                    &good,
-                                                    gate,
-                                                    Some(&cache),
-                                                )
-                                            }))
-                                            .unwrap_or_else(|p| {
-                                                Err((
-                                                    FlowStage::Worker,
-                                                    FlowError::Panicked(panic_message(p)),
-                                                ))
-                                            })
-                                        };
-                                    let _ = job_tx.send(Message::Suspect {
-                                        index,
-                                        slot,
-                                        result: Box::new(result),
-                                        busy_us: job_t0.elapsed().as_micros() as u64,
-                                    });
-                                }));
-                            }
-                        }
-                        Err(e) => {
-                            outcomes[index] = Some(Err(e));
-                            remaining -= 1;
-                        }
-                    }
-                }
-                Message::Suspect {
-                    index,
-                    slot,
-                    result,
-                    busy_us,
-                } => {
-                    device_busy_us[index] += busy_us;
-                    let done = if let Some(p) = pending[index].as_mut() {
-                        if p.slots[slot].is_none() {
-                            p.filled += 1;
-                        }
-                        p.slots[slot] = Some(*result);
-                        p.filled == p.slots.len()
-                    } else {
-                        false
-                    };
-                    if done {
-                        if let Some(p) = pending[index].take() {
-                            outcomes[index] = Some(Ok(p.merge()));
-                            remaining -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        drop(tx);
-
+        let cache = cache.map_or_else(|| Arc::new(AnalysisCache::new()), Arc::clone);
+        let service = DiagnosisService::from_parts(
+            Arc::clone(ctx),
+            good,
+            Arc::clone(&cache),
+            self.config.workers,
+            self.config.queue_capacity,
+            Duration::MAX,
+        );
+        // An unbounded submit wait never refuses a job of a live pool.
+        let (outcomes, suspect_jobs) = service
+            .coordinate(datalogs, &CancelToken::new(), None, &mut |_, _| {})
+            .map_err(|_| FlowError::Cancelled)?;
         // Join the workers first so the pool counters are final, then
         // export this run's metrics into the installed collector.
-        let workers = pool.workers();
-        let pool_metrics = pool.into_metrics();
+        let pool_metrics = service.into_pool_metrics();
         if icd_obs::enabled() {
             use icd_obs::Stability::{Stable, Timing};
             icd_obs::counter("batch.datalogs", datalogs.len() as u64, Stable);
@@ -607,26 +256,15 @@ impl BatchEngine {
                 pool_metrics.queue_high_water,
                 Timing,
             );
-            icd_obs::gauge_set("pool.workers", workers as u64, Timing);
+            icd_obs::gauge_set("pool.workers", pool_metrics.workers as u64, Timing);
         }
 
-        let merged = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(index, outcome)| BatchOutcome {
-                index,
-                report: outcome.unwrap_or_else(|| {
-                    Err(JobError::Panicked("datalog result missing".to_owned()))
-                }),
-                busy_us: device_busy_us[index],
-            })
-            .collect();
         Ok(BatchReport {
-            outcomes: merged,
+            outcomes,
             stats: BatchStats {
                 datalogs: datalogs.len(),
                 suspect_jobs,
-                workers,
+                workers: pool_metrics.workers,
                 elapsed: t0.elapsed(),
                 table_cache: cache.table_stats(),
                 cpt_cache: cache.cpt_stats(),

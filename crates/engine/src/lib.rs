@@ -6,16 +6,17 @@
 //! executes it on a std-only work-stealing thread pool (the build
 //! environment has no registry access, so no `rayon`):
 //!
-//! * **job graph** — per datalog a *front* job (sanitize → test-escape
-//!   check → inter-cell diagnosis → suspect selection), then per
-//!   (datalog × suspected gate) an independent *analysis* job;
+//! * **one job graph** — per datalog a *front* job (sanitize →
+//!   test-escape check → inter-cell diagnosis → suspect selection), then
+//!   per (datalog × suspected gate) an independent *analysis* job, built
+//!   in one place: the coordinator of [`DiagnosisService`];
 //! * **shared immutable artifacts** — the [`ExperimentContext`] (circuit,
-//!   transistor-level cell library, pattern set) and the batch-wide
-//!   good-machine simulation are computed once and `Arc`-shared by every
-//!   job;
+//!   transistor-level cell library, pattern set) and the good-machine
+//!   simulation are computed once and `Arc`-shared by every job;
 //! * **shared-artifact caching** — an [`icd_core::AnalysisCache`] shares
 //!   per-cell-type truth tables and critical-path traces across jobs; the
-//!   cache is transparent (identical results with and without);
+//!   cache is transparent (identical results with and without), and a
+//!   caller may pass its own to carry it across batches;
 //! * **panic isolation** — every job runs under `catch_unwind`; a
 //!   poisoned suspect becomes a structured [`SkippedGate`] in its
 //!   datalog's report, a poisoned front job becomes a
@@ -26,20 +27,19 @@
 //!   any worker count and any scheduling order;
 //! * **cooperative cancellation** — a [`CancelToken`] (explicit or
 //!   deadline-armed) threads through
-//!   [`BatchEngine::diagnose_batch_cancellable`] and
 //!   [`DiagnosisService::diagnose_streamed`]; it is checked at job
 //!   boundaries only, so cancelled work surfaces as
 //!   [`FlowError::Cancelled`] results and never poisons the pool;
-//! * **a long-lived streaming form** — [`DiagnosisService`] keeps one
-//!   pool, good simulation and cache alive across many requests and
-//!   streams per-suspect completions incrementally (the execution core
-//!   of the `icd-server` daemon);
-//! * **observability** — [`BatchEngine::diagnose_batch_observed`]
-//!   attaches an [`icd_obs`] [`Collector`] to a run: per-job spans keyed
-//!   by merge identity, per-stage latency histograms, cache/set-cover
-//!   counters and pool health (queue depth, steals, per-worker
-//!   busy/idle). The span forest and the redacted metrics snapshot are
-//!   byte-identical at any worker count.
+//! * **two lifecycles, one graph** — [`BatchEngine::diagnose_batch`]
+//!   runs a whole batch through a short-lived service; the `icd-server`
+//!   daemon keeps one [`DiagnosisService`] alive across requests and
+//!   streams per-suspect completions incrementally;
+//! * **observability** — [`BatchEngine::diagnose_batch`] takes an
+//!   optional [`icd_obs`] [`Collector`]: per-job spans keyed by merge
+//!   identity, per-stage latency histograms, cache/set-cover counters
+//!   and pool health (queue depth, steals, per-worker busy/idle). The
+//!   span forest and the redacted metrics snapshot are byte-identical at
+//!   any worker count.
 //!
 //! ```
 //! use icd_bench::flow::ExperimentContext;
@@ -56,7 +56,7 @@
 //!     entries: vec![],
 //! };
 //! let engine = BatchEngine::new(EngineConfig::with_workers(2));
-//! let batch = engine.diagnose_batch(&ctx, &[escape]).unwrap();
+//! let batch = engine.diagnose_batch(&ctx, &[escape], None, None).unwrap();
 //! assert!(batch.outcomes[0].report.as_ref().unwrap().is_escape());
 //! ```
 

@@ -9,9 +9,10 @@
 //!   round-robin over per-worker queues; an idle worker first drains its
 //!   own queue front, then steals from the *back* of the longest sibling
 //!   queue, so one long-running datalog cannot starve the pool;
-//! * **bounded queues with backpressure** — [`WorkerPool::submit`] blocks
-//!   once `queue_capacity` jobs are waiting, so a producer enumerating a
-//!   huge batch cannot buffer the whole batch in memory;
+//! * **bounded queues with backpressure** — [`WorkerPool::try_submit`]
+//!   waits (up to its bound) once `queue_capacity` jobs are waiting, so a
+//!   producer enumerating a huge batch cannot buffer the whole batch in
+//!   memory;
 //! * **panic isolation** — every job runs under
 //!   [`std::panic::catch_unwind`]; a poisoned job increments
 //!   [`WorkerPool::caught_panics`] and the worker keeps serving. (The
@@ -84,6 +85,14 @@ pub struct PoolMetrics {
     pub idle_us: Vec<u64>,
 }
 
+/// Time left until `deadline` (`None`: no deadline, so an unbounded
+/// wait); `None` once the deadline has passed.
+fn time_left(deadline: Option<Instant>) -> Option<Duration> {
+    deadline.map_or(Some(Duration::MAX), |d| {
+        d.checked_duration_since(Instant::now())
+    })
+}
+
 fn lock(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
     match shared.state.lock() {
         Ok(g) => g,
@@ -134,20 +143,9 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Enqueues a job, blocking while the pool already holds
-    /// `queue_capacity` waiting jobs (backpressure).
-    pub fn submit(&self, job: Job) {
-        let mut state = lock(&self.shared);
-        while state.queued >= self.shared.capacity && !state.shutdown {
-            state = match self.shared.space.wait(state) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        self.enqueue(state, job);
-    }
-
-    /// Tries to enqueue a job, waiting at most `wait` for queue space.
+    /// Tries to enqueue a job, waiting at most `wait` for queue space
+    /// (backpressure). A `wait` too long to express as a deadline, such
+    /// as [`Duration::MAX`], waits for space without a deadline.
     ///
     /// Returns the job back (`Err`) when the queue stayed full for the
     /// whole wait or the pool is shutting down — the caller owns the
@@ -155,7 +153,7 @@ impl WorkerPool {
     /// and eventually degrades the response instead of blocking a
     /// connection thread forever).
     pub fn try_submit(&self, job: Job, wait: Duration) -> Result<(), Job> {
-        let deadline = Instant::now() + wait;
+        let deadline = Instant::now().checked_add(wait);
         let mut state = lock(&self.shared);
         loop {
             if state.shutdown {
@@ -165,8 +163,7 @@ impl WorkerPool {
                 self.enqueue(state, job);
                 return Ok(());
             }
-            let now = Instant::now();
-            let Some(left) = deadline.checked_duration_since(now) else {
+            let Some(left) = time_left(deadline) else {
                 return Err(job);
             };
             state = match self.shared.space.wait_timeout(state, left) {
@@ -199,19 +196,19 @@ impl WorkerPool {
         state.queued + state.active
     }
 
-    /// Blocks until no job is queued or running, or `timeout` elapses.
-    /// Returns whether the pool is idle — the drain primitive of a
+    /// Blocks until no job is queued or running, or `timeout` elapses
+    /// (a `timeout` too long to express as a deadline waits without
+    /// one). Returns whether the pool is idle — the drain primitive of a
     /// graceful shutdown (stop submitting, then `wait_idle` under the
     /// drain deadline).
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = lock(&self.shared);
         loop {
             if state.queued == 0 && state.active == 0 {
                 return true;
             }
-            let now = Instant::now();
-            let Some(left) = deadline.checked_duration_since(now) else {
+            let Some(left) = time_left(deadline) else {
                 return false;
             };
             state = match self.shared.idle.wait_timeout(state, left) {
@@ -350,15 +347,26 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// Submits with an unbounded wait: blocks while the queue is full.
+    fn submit(pool: &WorkerPool, job: Job) {
+        assert!(
+            pool.try_submit(job, Duration::MAX).is_ok(),
+            "a live pool admits every job under an unbounded wait"
+        );
+    }
+
     #[test]
     fn runs_every_job_exactly_once() {
         let pool = WorkerPool::new(4, 8);
         let (tx, rx) = mpsc::channel();
         for i in 0..100usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(tx);
         let mut seen: Vec<usize> = rx.iter().collect();
@@ -370,12 +378,15 @@ mod tests {
     fn a_panicking_job_does_not_kill_the_pool() {
         let pool = WorkerPool::new(2, 4);
         let (tx, rx) = mpsc::channel();
-        pool.submit(Box::new(|| panic!("poisoned job")));
+        submit(&pool, Box::new(|| panic!("poisoned job")));
         for i in 0..10usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(tx);
         assert_eq!(rx.iter().count(), 10);
@@ -398,17 +409,20 @@ mod tests {
         let gate_holder = Arc::new(gate_rx);
         {
             let holder = Arc::clone(&gate_holder);
-            pool.submit(Box::new(move || {
-                let _ = lock_rx(&holder).recv();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    let _ = lock_rx(&holder).recv();
+                }),
+            );
         }
         // Fill the queue (worker busy on the gate job).
-        pool.submit(Box::new(|| {}));
-        pool.submit(Box::new(|| {}));
+        submit(&pool, Box::new(|| {}));
+        submit(&pool, Box::new(|| {}));
         let (done_tx, done_rx) = mpsc::channel();
         let p2 = Arc::clone(&pool);
         let t = std::thread::spawn(move || {
-            p2.submit(Box::new(|| {}));
+            submit(&p2, Box::new(|| {}));
             done_tx.send(()).unwrap();
         });
         // The submit above must be blocked while the queue is full.
@@ -428,9 +442,12 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..25usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(tx);
         assert_eq!(rx.iter().count(), 25);
@@ -454,10 +471,13 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..30usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                std::thread::sleep(Duration::from_millis(1));
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(pool);
         drop(tx);
@@ -470,15 +490,21 @@ mod tests {
     fn wait_idle_drains_with_a_panicked_job_in_flight() {
         let pool = WorkerPool::new(2, 16);
         let (tx, rx) = mpsc::channel();
-        pool.submit(Box::new(|| {
-            std::thread::sleep(Duration::from_millis(5));
-            panic!("in-flight poison");
-        }));
+        submit(
+            &pool,
+            Box::new(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                panic!("in-flight poison");
+            }),
+        );
         for i in 0..8usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         assert!(
             pool.wait_idle(Duration::from_secs(10)),
@@ -490,9 +516,12 @@ mod tests {
         assert_eq!(rx.iter().count(), 8);
         // The pool still accepts and runs work after the drain.
         let (tx2, rx2) = mpsc::channel();
-        pool.submit(Box::new(move || {
-            tx2.send(99usize).unwrap();
-        }));
+        submit(
+            &pool,
+            Box::new(move || {
+                tx2.send(99usize).unwrap();
+            }),
+        );
         assert_eq!(rx2.recv_timeout(Duration::from_secs(5)), Ok(99));
     }
 
@@ -502,9 +531,12 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..6usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(tx);
         pool.shutdown();
@@ -523,15 +555,18 @@ mod tests {
         let pool = WorkerPool::new(1, 1);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let gate_rx = Mutex::new(gate_rx);
-        pool.submit(Box::new(move || {
-            let _ = match gate_rx.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            }
-            .recv();
-        }));
+        submit(
+            &pool,
+            Box::new(move || {
+                let _ = match gate_rx.lock() {
+                    Ok(g) => g,
+                    Err(p) => p.into_inner(),
+                }
+                .recv();
+            }),
+        );
         // Worker busy on the gate; fill the single queue slot.
-        pool.submit(Box::new(|| {}));
+        submit(&pool, Box::new(|| {}));
         let rejected = pool.try_submit(Box::new(|| {}), Duration::from_millis(50));
         assert!(rejected.is_err(), "full queue must bounce the job");
         gate_tx.send(()).unwrap();
@@ -558,12 +593,53 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..20usize {
             let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i).unwrap();
-            }));
+            submit(
+                &pool,
+                Box::new(move || {
+                    tx.send(i).unwrap();
+                }),
+            );
         }
         drop(tx);
         let seen: Vec<usize> = rx.iter().collect();
         assert_eq!(seen, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn try_submit_with_an_unrepresentable_wait_has_no_deadline() {
+        // `Instant::now() + Duration::MAX` overflows; the wait must mean
+        // "no deadline" instead of panicking. (Blocking on a full queue
+        // under such a wait is `backpressure_bounds_the_queue`.)
+        let mut pool = WorkerPool::new(1, 1);
+        let (tx, rx) = mpsc::channel();
+        assert!(pool
+            .try_submit(Box::new(move || tx.send(7usize).unwrap()), Duration::MAX)
+            .is_ok());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        pool.shutdown();
+        assert!(
+            pool.try_submit(Box::new(|| {}), Duration::MAX).is_err(),
+            "a shut-down pool refuses at once, even without a deadline"
+        );
+    }
+
+    #[test]
+    fn wait_idle_with_an_unrepresentable_timeout_has_no_deadline() {
+        let pool = WorkerPool::new(2, 8);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..6usize {
+            let tx = tx.clone();
+            submit(
+                &pool,
+                Box::new(move || {
+                    std::thread::sleep(Duration::from_millis(2));
+                    tx.send(i).unwrap();
+                }),
+            );
+        }
+        assert!(pool.wait_idle(Duration::MAX));
+        assert_eq!(pool.pending_jobs(), 0);
+        drop(tx);
+        assert_eq!(rx.iter().count(), 6);
     }
 }

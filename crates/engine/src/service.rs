@@ -1,14 +1,16 @@
-//! A long-lived streaming diagnosis service over one [`WorkerPool`].
+//! The diagnosis job graph and its long-lived executor.
 //!
-//! [`BatchEngine`](crate::BatchEngine) is batch-shaped: it builds a pool,
-//! runs one directory's worth of datalogs, joins the pool. A daemon has
-//! the opposite lifecycle — the pool, the good-machine simulation and the
-//! analysis cache live for the whole process while requests come and go.
-//! [`DiagnosisService`] is that long-lived form:
+//! [`DiagnosisService`] is the only place the job graph is built: the
+//! network daemon streams single datalogs through a long-lived service,
+//! and [`BatchEngine`](crate::BatchEngine) runs whole batches through a
+//! short-lived one.
 //!
-//! * **shared artifacts once** — the [`ExperimentContext`], the
-//!   good-machine simulation and the [`AnalysisCache`] are computed at
-//!   construction and `Arc`-shared by every request;
+//! * **one coordinator** — per datalog a *front* job (sanitize → escape
+//!   check → inter-cell diagnosis → suspect selection), then one
+//!   *suspect* job per suspected gate, largest fanout cone first, all
+//!   sharing the context, the good-machine simulation and the
+//!   [`AnalysisCache`]; results come back on one channel tagged by
+//!   (datalog index, suspect slot) and merge by slot;
 //! * **streaming** — [`DiagnosisService::diagnose_streamed`] emits a
 //!   [`StreamEvent`] when the front stage resolves the suspect list and
 //!   one per completed per-suspect analysis, so a network server can
@@ -17,33 +19,34 @@
 //!   (deadline or explicit) is checked at every job boundary; cancelled
 //!   work surfaces as [`FlowError::Cancelled`] and never poisons the
 //!   pool;
-//! * **bounded admission** — job submission uses
-//!   [`WorkerPool::try_submit`] with a bounded wait, surfacing
-//!   [`ServiceError::Busy`] to the caller instead of blocking a
-//!   connection thread behind an unbounded queue. The caller owns the
-//!   retry policy.
+//! * **bounded admission** — jobs are submitted with
+//!   [`WorkerPool::try_submit`] under the service's submit wait; a
+//!   refused front job surfaces as [`ServiceError::Busy`] and the caller
+//!   owns the retry policy.
 //!
 //! The merged [`FlowReport`] is byte-identical (including `Debug`
-//! rendering) to what the sequential staged flow and the batch engine
-//! produce for the same datalog — same front stage, same per-suspect
-//! pipeline, same slot-ordered merge.
+//! rendering) to the sequential staged flow's for the same datalog, at
+//! any worker count.
 
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use icd_bench::flow::{
-    analyze_suspect, ExperimentContext, FlowError, FlowReport, FlowStage, GateAnalysis,
+    analyze_suspect, select_suspects, ExperimentContext, FlowError, FlowReport, FlowStage,
+    GateAnalysis, SkippedGate,
 };
 use icd_core::AnalysisCache;
-use icd_faultsim::Datalog;
+use icd_faultsim::{BitValues, Datalog};
+use icd_intercell::IntercellDiagnosis;
 use icd_netlist::GateId;
+use icd_obs::TraceContext;
 
 use crate::cancel::CancelToken;
-use crate::engine::{front_stage, panic_message, FrontOutput, JobError, Pending};
-use crate::pool::WorkerPool;
+use crate::engine::{BatchOutcome, JobError};
+use crate::pool::{PoolMetrics, WorkerPool};
 
 /// Why a streamed request produced no report.
 #[derive(Debug)]
@@ -89,27 +92,162 @@ pub enum StreamEvent<'a> {
         /// The analyzed gate.
         gate: GateId,
         /// Whether the analysis succeeded (a failure becomes a
-        /// [`SkippedGate`](icd_bench::flow::SkippedGate) in the report).
+        /// [`SkippedGate`] in the report).
         ok: bool,
     },
 }
 
-/// One message of a streamed request's internal result channel.
-enum StreamMessage {
-    Front(Box<Result<FrontOutput, JobError>>),
+/// Immutable per-datalog artifacts shared by that datalog's suspect jobs.
+struct FrontShared {
+    datalog: Datalog,
+    inter: IntercellDiagnosis,
+}
+
+type SuspectResult = Result<GateAnalysis, (FlowStage, FlowError)>;
+
+/// One datalog past its front stage: the report's datalog-level fields,
+/// plus one slot per suspect that fills as its analysis job finishes.
+struct Pending {
+    report: FlowReport,
+    /// What the suspect jobs read; `None` when there are no suspects.
+    shared: Option<Arc<FrontShared>>,
+    suspects: Vec<GateId>,
+    slots: Vec<Option<SuspectResult>>,
+    filled: usize,
+}
+
+impl Pending {
+    fn new(report: FlowReport, shared: Option<Arc<FrontShared>>, suspects: Vec<GateId>) -> Self {
+        Pending {
+            report,
+            shared,
+            slots: suspects.iter().map(|_| None).collect(),
+            suspects,
+            filled: 0,
+        }
+    }
+
+    /// Fills `slot` unless it already holds a result; returns whether it
+    /// was newly filled.
+    fn fill(&mut self, slot: usize, result: SuspectResult) -> bool {
+        if self.slots[slot].is_some() {
+            return false;
+        }
+        self.slots[slot] = Some(result);
+        self.filled += 1;
+        true
+    }
+
+    fn is_complete(&self) -> bool {
+        self.filled == self.slots.len()
+    }
+
+    /// Merges the slots in suspect order — the exact order the sequential
+    /// staged flow records analyses and skips, so the merged report is
+    /// byte-identical to the single-threaded one. A slot whose job was
+    /// lost degrades to a `Cancelled` skip.
+    fn merge(mut self) -> FlowReport {
+        for (gate, slot) in self.suspects.into_iter().zip(self.slots) {
+            match slot.unwrap_or(Err((FlowStage::Worker, FlowError::Cancelled))) {
+                Ok(analysis) => self.report.analyses.push(analysis),
+                Err((stage, error)) => self.report.skipped.push(SkippedGate { gate, stage, error }),
+            }
+        }
+        self.report
+    }
+}
+
+/// The front half of the staged flow for one datalog: sanitation, escape
+/// check, inter-cell diagnosis, suspect selection. Runs on a worker; a
+/// test escape or a datalog without suspects comes back complete.
+fn front_stage(
+    ctx: &ExperimentContext,
+    good: &BitValues,
+    datalog: &Datalog,
+) -> Result<Pending, JobError> {
+    let (datalog, sanitize) = {
+        let _s = icd_obs::stage("flow.sanitize");
+        datalog.sanitize(ctx.circuit.outputs().len())
+    };
+    let escaped = {
+        let _s = icd_obs::stage("flow.escape_check");
+        datalog.all_pass()
+    };
+    let mut report = FlowReport {
+        failing_patterns: 0,
+        sanitize,
+        analyses: Vec::new(),
+        skipped: Vec::new(),
+        unexplained: Vec::new(),
+    };
+    if escaped {
+        return Ok(Pending::new(report, None, Vec::new()));
+    }
+    let inter = {
+        let _s = icd_obs::stage("flow.intercell");
+        icd_intercell::diagnose_with_good(&ctx.circuit, &ctx.patterns, &datalog, good)
+            .map_err(|e| JobError::Flow(FlowError::Intercell(e)))?
+    };
+    let suspects = select_suspects(&inter);
+    report.failing_patterns = datalog.entries.len();
+    report.unexplained = inter.unexplained.clone();
+    let shared = (!suspects.is_empty()).then(|| Arc::new(FrontShared { datalog, inter }));
+    Ok(Pending::new(report, shared, suspects))
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_owned()
+    }
+}
+
+/// One node of the job graph.
+enum Work {
+    Front(Datalog),
     Suspect {
+        shared: Arc<FrontShared>,
         slot: usize,
-        result: Box<Result<GateAnalysis, (FlowStage, FlowError)>>,
+        gate: GateId,
     },
 }
 
-/// The long-lived diagnosis executor of the server: one pool, one good
-/// simulation, one cache, many concurrent streamed requests.
+impl Work {
+    fn run(self, ctx: &ExperimentContext, good: &BitValues, cache: &AnalysisCache) -> Output {
+        match self {
+            Work::Front(datalog) => Output::Front(front_stage(ctx, good, &datalog)),
+            Work::Suspect { shared, slot, gate } => {
+                let (datalog, inter) = (&shared.datalog, &shared.inter);
+                let result = analyze_suspect(ctx, datalog, inter, good, gate, Some(cache));
+                Output::Suspect { slot, result }
+            }
+        }
+    }
+}
+
+/// A finished job, tagged with its datalog (and, for suspects, slot).
+struct Done {
+    index: usize,
+    output: Output,
+    /// Worker time the job took (µs).
+    busy_us: u64,
+}
+
+enum Output {
+    Front(Result<Pending, JobError>),
+    Suspect { slot: usize, result: SuspectResult },
+}
+
+/// The long-lived diagnosis executor: one pool, one good simulation,
+/// one cache, many concurrent requests.
 pub struct DiagnosisService {
     ctx: Arc<ExperimentContext>,
-    good: Arc<icd_faultsim::BitValues>,
+    good: Arc<BitValues>,
     cache: Arc<AnalysisCache>,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     submit_wait: Duration,
     /// Fault-injection seam: runs at the start of every front/suspect
     /// job, *inside* the panic net. A hook that panics emulates a
@@ -142,15 +280,41 @@ impl DiagnosisService {
         submit_wait: Duration,
     ) -> Result<Self, FlowError> {
         let good = Arc::new(icd_faultsim::good_simulate(&ctx.circuit, &ctx.patterns)?);
-        let pool = Arc::new(WorkerPool::new(workers, queue_capacity));
-        Ok(DiagnosisService {
+        let cache = Arc::new(AnalysisCache::new());
+        Ok(Self::from_parts(
             ctx,
             good,
-            cache: Arc::new(AnalysisCache::new()),
-            pool,
+            cache,
+            workers,
+            queue_capacity,
+            submit_wait,
+        ))
+    }
+
+    /// A service over an already-computed good simulation and a
+    /// caller-owned cache (the batch engine's short-lived instance).
+    pub(crate) fn from_parts(
+        ctx: Arc<ExperimentContext>,
+        good: Arc<BitValues>,
+        cache: Arc<AnalysisCache>,
+        workers: usize,
+        queue_capacity: usize,
+        submit_wait: Duration,
+    ) -> Self {
+        DiagnosisService {
+            ctx,
+            good,
+            cache,
+            pool: WorkerPool::new(workers, queue_capacity),
             submit_wait,
             job_hook: None,
-        })
+        }
+    }
+
+    /// Shuts the pool down, joins its workers and returns their final,
+    /// exact counters.
+    pub(crate) fn into_pool_metrics(self) -> PoolMetrics {
+        self.pool.into_metrics()
     }
 
     /// Installs a hook that runs at the start of every front/suspect job,
@@ -167,11 +331,6 @@ impl DiagnosisService {
     /// The shared experiment context requests are diagnosed against.
     pub fn context(&self) -> &Arc<ExperimentContext> {
         &self.ctx
-    }
-
-    /// The underlying pool (for drain/health introspection).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// Jobs queued or running right now.
@@ -212,171 +371,210 @@ impl DiagnosisService {
     }
 
     /// [`diagnose_streamed`](Self::diagnose_streamed) with an optional
-    /// per-request trace: every front/suspect job *enters* the trace on
-    /// its worker thread, so the request's `service.front` /
-    /// `service.suspect` spans — and the `flow.*` stage spans nested
-    /// inside them — land in the trace's span forest even though they
-    /// execute on pool threads the caller never sees.
+    /// per-request trace: every job *enters* the trace on its worker
+    /// thread, so the request's `batch.front` / `batch.suspect` spans
+    /// (datalog 0) — and the `flow.*` stage spans nested inside them —
+    /// land in the trace's span forest even though they execute on pool
+    /// threads the caller never sees.
     pub fn diagnose_streamed_traced(
         &self,
         datalog: &Datalog,
         token: &CancelToken,
-        trace: Option<&icd_obs::TraceContext>,
+        trace: Option<&TraceContext>,
         on_event: &mut dyn FnMut(StreamEvent<'_>),
     ) -> Result<FlowReport, ServiceError> {
-        if token.is_cancelled() {
-            return Err(ServiceError::Job(JobError::Flow(FlowError::Cancelled)));
-        }
-        let (tx, rx) = mpsc::channel::<StreamMessage>();
+        let (mut outcomes, _) = self.coordinate(
+            std::slice::from_ref(datalog),
+            token,
+            trace,
+            &mut |_, event| on_event(event),
+        )?;
+        let outcome = outcomes.pop().map(|o| o.report);
+        outcome
+            .unwrap_or_else(|| Err(JobError::Panicked("datalog result missing".to_owned())))
+            .map_err(ServiceError::Job)
+    }
 
-        // Front job.
-        {
-            let ctx = Arc::clone(&self.ctx);
-            let good = Arc::clone(&self.good);
-            let datalog = datalog.clone();
-            let token = token.clone();
-            let job_tx = tx.clone();
-            let hook = self.job_hook.clone();
-            let trace = trace.cloned();
-            let job = Box::new(move || {
-                let _trace = trace.as_ref().map(icd_obs::TraceContext::enter);
-                let _span = icd_obs::stage("service.front");
-                let output = if token.is_cancelled() {
-                    Err(JobError::Flow(FlowError::Cancelled))
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(hook) = &hook {
-                            hook();
-                        }
-                        front_stage(&ctx, &good, &datalog)
-                    })) {
-                        Ok(r) => r,
-                        Err(p) => Err(JobError::Panicked(panic_message(p))),
-                    }
-                };
-                let _ = job_tx.send(StreamMessage::Front(Box::new(output)));
-            });
-            if self.pool.try_submit(job, self.submit_wait).is_err() {
+    /// The job graph: runs every datalog through its front job and its
+    /// per-suspect fan-out on the pool, with the calling thread as the
+    /// coordinator. Returns one outcome per datalog, in input order, plus
+    /// the number of suspect jobs submitted; [`ServiceError::Busy`] when
+    /// a front job is not admitted within the submit wait (fronts already
+    /// admitted still run, their results unread).
+    ///
+    /// Every front job is submitted first, in index order; each
+    /// datalog's suspects fan out (largest fanout cone first) as its
+    /// front result arrives. The token is checked before every
+    /// submission and again when each job starts: a datalog cancelled
+    /// before its front job resolves to `Cancelled`, a suspect cancelled
+    /// or refused admission becomes a `Cancelled` skip.
+    pub(crate) fn coordinate(
+        &self,
+        datalogs: &[Datalog],
+        token: &CancelToken,
+        trace: Option<&TraceContext>,
+        on_event: &mut dyn FnMut(usize, StreamEvent<'_>),
+    ) -> Result<(Vec<BatchOutcome>, usize), ServiceError> {
+        let (tx, rx) = mpsc::channel::<Done>();
+        let mut results: Vec<Option<Result<FlowReport, JobError>>> = Vec::new();
+        for (index, datalog) in datalogs.iter().enumerate() {
+            if token.is_cancelled() {
+                results.push(Some(Err(JobError::Flow(FlowError::Cancelled))));
+            } else if self.submit(&tx, token, trace, index, Work::Front(datalog.clone())) {
+                results.push(None);
+            } else {
                 return Err(ServiceError::Busy);
             }
         }
+        let mut fronts_running = results.iter().filter(|r| r.is_none()).count();
+        let mut unresolved = fronts_running;
+        let mut waiting: Vec<Option<Pending>> = datalogs.iter().map(|_| None).collect();
+        let mut busy_us = vec![0u64; datalogs.len()];
+        let mut suspect_jobs = 0usize;
+        // The coordinator keeps a sender only while front results can
+        // still fan out; after the last one only jobs hold senders, so a
+        // job lost without reporting closes the channel instead of
+        // hanging the loop.
+        let mut tx = Some(tx);
 
-        let front = loop {
-            match rx.recv() {
-                Ok(StreamMessage::Front(output)) => break *output,
-                Ok(StreamMessage::Suspect { .. }) => continue, // unreachable: none submitted yet
-                Err(_) => {
-                    // Unreachable (we hold the master sender); degrade.
-                    return Err(ServiceError::Job(JobError::Panicked(
-                        "front job result missing".to_owned(),
-                    )));
+        while unresolved > 0 {
+            if fronts_running == 0 {
+                tx = None;
+            }
+            let Ok(done) = rx.recv() else { break };
+            let index = done.index;
+            busy_us[index] += done.busy_us;
+            let finished = match done.output {
+                Output::Front(Err(e)) => {
+                    fronts_running -= 1;
+                    Some(Err(e))
                 }
+                Output::Front(Ok(mut pending)) => {
+                    fronts_running -= 1;
+                    if let (Some(tx), Some(shared)) = (&tx, pending.shared.clone()) {
+                        on_event(index, StreamEvent::Suspects(&pending.suspects));
+                        // Largest fanout cones first: the most expensive
+                        // per-suspect resimulations start earliest, so no
+                        // big cone straggles at the tail of the pool. The
+                        // sort is stable, so the schedule is deterministic.
+                        let mut order: Vec<usize> = (0..pending.suspects.len()).collect();
+                        order.sort_by_key(|&s| {
+                            std::cmp::Reverse(self.ctx.circuit.cone_size(pending.suspects[s]))
+                        });
+                        for slot in order {
+                            let (shared, gate) = (Arc::clone(&shared), pending.suspects[slot]);
+                            let work = Work::Suspect { shared, slot, gate };
+                            if !token.is_cancelled() && self.submit(tx, token, trace, index, work) {
+                                suspect_jobs += 1;
+                            } else {
+                                pending.fill(slot, Err((FlowStage::Worker, FlowError::Cancelled)));
+                            }
+                        }
+                    }
+                    waiting[index] = Some(pending);
+                    None
+                }
+                Output::Suspect { slot, result } => {
+                    if let Some(pending) = waiting[index].as_mut() {
+                        let (gate, ok) = (pending.suspects[slot], result.is_ok());
+                        if pending.fill(slot, result) {
+                            on_event(index, StreamEvent::SuspectDone { slot, gate, ok });
+                        }
+                    }
+                    None
+                }
+            };
+            let finished = finished.or_else(|| {
+                waiting[index]
+                    .take_if(|p| p.is_complete())
+                    .map(|p| Ok(p.merge()))
+            });
+            if let Some(report) = finished {
+                results[index] = Some(report);
+                unresolved -= 1;
             }
-        };
-        let (sanitize, failing_patterns, unexplained, shared, suspects) = match front {
-            Ok(FrontOutput::Done(report)) => return Ok(*report),
-            Ok(FrontOutput::Work {
-                sanitize,
-                failing_patterns,
-                unexplained,
-                shared,
-                suspects,
-            }) => (sanitize, failing_patterns, unexplained, shared, suspects),
-            Err(e) => return Err(ServiceError::Job(e)),
-        };
-        on_event(StreamEvent::Suspects(&suspects));
+        }
 
-        let mut pending = Pending {
-            sanitize,
-            failing_patterns,
-            unexplained,
-            suspects: suspects.clone(),
-            slots: (0..suspects.len()).map(|_| None).collect(),
-            filled: 0,
-        };
+        let outcomes = results
+            .into_iter()
+            .zip(waiting)
+            .zip(busy_us)
+            .enumerate()
+            .map(|(index, ((result, pending), busy_us))| BatchOutcome {
+                index,
+                // The channel closed with jobs unreported (the pool
+                // dropped them): missing slots degrade to Cancelled.
+                report: result
+                    .or_else(|| pending.map(|p| Ok(p.merge())))
+                    .unwrap_or_else(|| {
+                        Err(JobError::Panicked("front job result missing".to_owned()))
+                    }),
+                busy_us,
+            })
+            .collect();
+        Ok((outcomes, suspect_jobs))
+    }
 
-        // Fan the suspect jobs out, largest cones first (same schedule as
-        // the batch engine). Admission is bounded: when the pool refuses
-        // a job within the wait — saturation or shutdown — or the token
-        // cancels, the remaining slots become Cancelled skips and the
-        // report degrades instead of blocking the connection thread.
-        let mut order: Vec<usize> = (0..suspects.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(self.ctx.circuit.cone_size(suspects[s])));
-        for slot in order {
-            let gate = suspects[slot];
-            if token.is_cancelled() {
-                pending.slots[slot] = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                pending.filled += 1;
-                continue;
-            }
-            let ctx = Arc::clone(&self.ctx);
-            let good = Arc::clone(&self.good);
-            let cache = Arc::clone(&self.cache);
-            let shared = Arc::clone(&shared);
-            let token_job = token.clone();
-            let job_tx = tx.clone();
-            let hook = self.job_hook.clone();
-            let trace_job = trace.cloned();
-            let job = Box::new(move || {
-                let _trace = trace_job.as_ref().map(icd_obs::TraceContext::enter);
-                let _span = icd_obs::stage("service.suspect");
-                let result = if token_job.is_cancelled() {
-                    Err((FlowStage::Worker, FlowError::Cancelled))
+    /// Wraps one node of the graph as a pool job and submits it within
+    /// the submit wait. The job enters the request's trace, opens its
+    /// merge-identity span (`batch.front` with `datalog`, `batch.suspect`
+    /// with `datalog` and `slot`), checks the token, and runs the work
+    /// under `catch_unwind`; a cancelled or panicked job still reports.
+    /// Returns whether the pool admitted the job.
+    fn submit(
+        &self,
+        tx: &mpsc::Sender<Done>,
+        token: &CancelToken,
+        trace: Option<&TraceContext>,
+        index: usize,
+        work: Work,
+    ) -> bool {
+        let (ctx, good) = (Arc::clone(&self.ctx), Arc::clone(&self.good));
+        let (cache, hook) = (Arc::clone(&self.cache), self.job_hook.clone());
+        let (token, trace, tx) = (token.clone(), trace.cloned(), tx.clone());
+        let job = Box::new(move || {
+            let t0 = Instant::now();
+            let slot = match &work {
+                Work::Front(_) => None,
+                Work::Suspect { slot, .. } => Some(*slot),
+            };
+            // The span closes before the result is sent: a coordinator
+            // holding every result then holds every job span too.
+            let ran = {
+                let _trace = trace.as_ref().map(TraceContext::enter);
+                let datalog = ("datalog", index as u64);
+                let _span = match slot {
+                    None => icd_obs::span_with("batch.front", &[datalog]),
+                    Some(s) => icd_obs::span_with("batch.suspect", &[datalog, ("slot", s as u64)]),
+                };
+                if token.is_cancelled() {
+                    Err(FlowError::Cancelled)
                 } else {
                     catch_unwind(AssertUnwindSafe(|| {
                         if let Some(hook) = &hook {
                             hook();
                         }
-                        analyze_suspect(
-                            &ctx,
-                            &shared.datalog,
-                            &shared.inter,
-                            &good,
-                            gate,
-                            Some(&cache),
-                        )
+                        work.run(&ctx, &good, &cache)
                     }))
-                    .unwrap_or_else(|p| {
-                        Err((FlowStage::Worker, FlowError::Panicked(panic_message(p))))
-                    })
-                };
-                let _ = job_tx.send(StreamMessage::Suspect {
-                    slot,
-                    result: Box::new(result),
-                });
-            });
-            if self.pool.try_submit(job, self.submit_wait).is_err() {
-                pending.slots[slot] = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                pending.filled += 1;
-            }
-        }
-        drop(tx);
-
-        while pending.filled < pending.slots.len() {
-            let Ok(msg) = rx.recv() else {
-                // Every sender dropped with slots unfilled — a submitted
-                // job was lost (pool shut down mid-request). Degrade the
-                // missing slots to Cancelled instead of hanging.
-                for slot in pending.slots.iter_mut().filter(|s| s.is_none()) {
-                    *slot = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                    pending.filled += 1;
+                    .map_err(|p| FlowError::Panicked(panic_message(p)))
                 }
-                break;
             };
-            let StreamMessage::Suspect { slot, result } = msg else {
-                continue;
-            };
-            if pending.slots[slot].is_none() {
-                pending.filled += 1;
-                on_event(StreamEvent::SuspectDone {
+            let output = ran.unwrap_or_else(|error| match (slot, error) {
+                (Some(slot), error) => Output::Suspect {
                     slot,
-                    gate: pending.suspects[slot],
-                    ok: result.is_ok(),
-                });
-                pending.slots[slot] = Some(*result);
-            }
-        }
-        Ok(pending.merge())
+                    result: Err((FlowStage::Worker, error)),
+                },
+                (None, FlowError::Panicked(msg)) => Output::Front(Err(JobError::Panicked(msg))),
+                (None, error) => Output::Front(Err(JobError::Flow(error))),
+            });
+            let busy_us = t0.elapsed().as_micros() as u64;
+            let _ = tx.send(Done {
+                index,
+                output,
+                busy_us,
+            });
+        });
+        self.pool.try_submit(job, self.submit_wait).is_ok()
     }
 }
 
@@ -435,7 +633,7 @@ mod tests {
         let (service, batch) = service_fixture();
         let engine = BatchEngine::new(EngineConfig::with_workers(1));
         let reference = engine
-            .diagnose_batch(service.context(), &batch)
+            .diagnose_batch(service.context(), &batch, None, None)
             .expect("batch runs");
         for (i, datalog) in batch.iter().enumerate() {
             let mut suspects_seen = 0usize;
@@ -510,5 +708,46 @@ mod tests {
             .skipped
             .iter()
             .all(|s| !matches!(s.error, FlowError::Cancelled)));
+    }
+
+    #[test]
+    fn traced_request_records_one_front_root_and_one_suspect_root_per_suspect() {
+        let (service, batch) = service_fixture();
+        let trace = icd_obs::TraceContext::new(0x5eed);
+        let mut suspects: Vec<GateId> = Vec::new();
+        service
+            .diagnose_streamed_traced(&batch[0], &CancelToken::new(), Some(&trace), &mut |ev| {
+                if let StreamEvent::Suspects(s) = ev {
+                    suspects = s.to_vec();
+                }
+            })
+            .expect("traced run succeeds");
+        assert!(!suspects.is_empty(), "fixture datalog fans out");
+
+        // The shape the daemon's event log serializes: the front job
+        // first, then one suspect job per slot, each a root (jobs run on
+        // pool threads, outside any caller span) over its flow stages.
+        let forest = trace.span_forest();
+        assert_eq!(forest.len(), 1 + suspects.len(), "{forest:#?}");
+        let front = &forest[0];
+        assert_eq!(front.name, "batch.front");
+        assert_eq!(front.attrs, vec![("datalog", 0)]);
+        let front_stages: Vec<&str> = front.children.iter().map(|c| c.name).collect();
+        assert!(front_stages.contains(&"flow.sanitize"), "{front_stages:?}");
+        assert!(front_stages.contains(&"flow.intercell"), "{front_stages:?}");
+        for (slot, root) in forest[1..].iter().enumerate() {
+            assert_eq!(root.name, "batch.suspect");
+            assert_eq!(root.attrs, vec![("datalog", 0), ("slot", slot as u64)]);
+            let stages: Vec<&str> = root.children.iter().map(|c| c.name).collect();
+            assert_eq!(stages, vec!["flow.analyze_suspect"], "slot {slot}");
+        }
+        for root in &forest {
+            assert!(
+                !root.children.is_empty(),
+                "{} has no flow stages",
+                root.name
+            );
+            assert!(root.children.iter().all(|c| c.name.starts_with("flow.")));
+        }
     }
 }

@@ -413,7 +413,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let batch = engine
-        .diagnose_batch_observed(&ctx, &datalogs, Some(&collector))
+        .diagnose_batch(&ctx, &datalogs, Some(&collector), None)
         .map_err(|e| format!("batch diagnosis: {e}"))?;
 
     // Degraded: a whole datalog failed, or a suspect was skipped for a

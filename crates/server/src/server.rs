@@ -168,13 +168,20 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding; flow errors from the good simulation
+    /// I/O errors from binding; a zero `idle_timeout` (the socket write
+    /// timeout cannot be zero) and flow errors from the good simulation
     /// are surfaced as [`io::ErrorKind::InvalidInput`].
     pub fn bind(
         addr: &str,
         ctx: Arc<ExperimentContext>,
         config: ServerConfig,
     ) -> io::Result<Server> {
+        if config.idle_timeout.is_zero() {
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                "idle timeout must be greater than zero",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let mut service = DiagnosisService::new(
             ctx,
@@ -258,10 +265,11 @@ impl Server {
         }
 
         // Drain: wait for in-flight requests, then hard-cancel leftovers.
-        let deadline = Instant::now() + self.config.drain_deadline;
+        // A drain deadline too long to express as an instant has none.
+        let deadline = Instant::now().checked_add(self.config.drain_deadline);
         let mut outcome = DrainOutcome::Clean;
         while self.state.active_requests.load(Ordering::Acquire) > 0 {
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 outcome = DrainOutcome::Forced;
                 self.state.drain_token.cancel();
                 break;
@@ -270,9 +278,10 @@ impl Server {
         }
         // Pool settles (bounded even when forced: cancelled jobs are
         // skipped at their boundary checks, running ones finish).
-        let settle = deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(200));
+        let settle = deadline.map_or(Duration::MAX, |d| {
+            d.saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(200))
+        });
         self.service.wait_idle(settle);
         // Connection threads exit on their own (their sockets poll the
         // drain flag at least every poll interval).
@@ -761,27 +770,22 @@ impl Connection {
                 .is_ok();
                 (keep, outcome)
             }
-            Err((code, message)) => {
-                let outcome = match code {
-                    ErrorCode::DeadlineExceeded => {
+            Err(failure) => {
+                let outcome = match failure {
+                    RetryFailure::Deadline(_) => {
                         count("server.requests_deadline_exceeded", 1);
                         RequestOutcome::Failed
                     }
-                    ErrorCode::Busy => {
+                    RetryFailure::Busy { .. } => {
                         count("server.requests_rejected_busy", 1);
                         RequestOutcome::Rejected
                     }
-                    _ => {
+                    RetryFailure::ConnectionLost | RetryFailure::Internal(_) => {
                         count("server.requests_failed", 1);
                         RequestOutcome::Failed
                     }
                 };
-                trace.event("error", message.clone());
-                let keep = frame::write_frame(
-                    stream,
-                    &error_frame(id, code, &message).with_trace_id(Some(trace.trace_id())),
-                )
-                .is_ok();
+                let keep = write_failure(stream, id, trace, &failure);
                 (keep, outcome)
             }
         }
@@ -866,7 +870,7 @@ impl Connection {
         self.state.active_requests.fetch_add(1, Ordering::AcqRel);
         let mut reports: Vec<(String, FlowReport)> = Vec::new();
         let mut failed = 0usize;
-        let mut fatal: Option<(ErrorCode, String)> = None;
+        let mut fatal: Option<RetryFailure> = None;
         for (name, datalog) in &parsed {
             let device_t0 = Instant::now();
             let result = self.diagnose_with_retry(stream, id, trace, datalog, &token);
@@ -880,29 +884,20 @@ impl Connection {
             );
             match result {
                 Ok(report) => reports.push((name.clone(), report)),
-                Err((ErrorCode::DeadlineExceeded, message)) => {
-                    // The shared deadline is spent; nothing after this
-                    // device can complete either.
-                    fatal = Some((ErrorCode::DeadlineExceeded, message));
+                // The shared deadline is spent, or the client is gone:
+                // nothing after this device can complete either.
+                Err(failure @ (RetryFailure::Deadline(_) | RetryFailure::ConnectionLost)) => {
+                    fatal = Some(failure);
                     break;
                 }
-                Err((ErrorCode::Internal, message)) if message.contains("connection lost") => {
-                    fatal = Some((ErrorCode::Internal, message));
-                    break;
-                }
-                Err(_) => failed += 1,
+                Err(RetryFailure::Busy { .. } | RetryFailure::Internal(_)) => failed += 1,
             }
         }
         self.state.active_requests.fetch_sub(1, Ordering::AcqRel);
 
-        if let Some((code, message)) = fatal {
+        if let Some(failure) = fatal {
             count("server.requests_failed", 1);
-            trace.event("error", message.clone());
-            let keep = frame::write_frame(
-                stream,
-                &error_frame(id, code, &message).with_trace_id(Some(trace.trace_id())),
-            )
-            .is_ok();
+            let keep = write_failure(stream, id, trace, &failure);
             return (keep, RequestOutcome::Failed);
         }
         let ctx = self.service.context();
@@ -958,14 +953,13 @@ impl Connection {
         trace: &TraceContext,
         datalog: &icd_faultsim::Datalog,
         token: &CancelToken,
-    ) -> Result<FlowReport, (ErrorCode, String)> {
+    ) -> Result<FlowReport, RetryFailure> {
         let trace_id = Some(trace.trace_id());
         let mut attempt = 0u32;
         loop {
             if token.is_cancelled() {
-                return Err((
-                    ErrorCode::DeadlineExceeded,
-                    "request cancelled before completion".to_owned(),
+                return Err(RetryFailure::Deadline(
+                    "request cancelled before completion",
                 ));
             }
             // Stream progress frames as they happen; a retried attempt
@@ -1005,12 +999,9 @@ impl Connection {
             if !stream_ok {
                 // The client is gone; cancel our own work and stop.
                 token.cancel();
-                return Err((
-                    ErrorCode::Internal,
-                    "client connection lost mid-stream".to_owned(),
-                ));
+                return Err(RetryFailure::ConnectionLost);
             }
-            let transient: &str = match outcome {
+            let transient = match outcome {
                 Ok(report) => {
                     let panicked = report
                         .skipped
@@ -1042,52 +1033,94 @@ impl Connection {
                         }
                     }
                 }
-                Err(ServiceError::Busy) => "queue full",
-                Err(ServiceError::Job(JobError::Panicked(_))) => "front panic",
+                Err(ServiceError::Busy) => Transient::QueueFull,
+                Err(ServiceError::Job(JobError::Panicked(_))) => Transient::FrontPanic,
                 Err(ServiceError::Job(JobError::Flow(FlowError::Cancelled))) => {
-                    return Err((
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired before the front stage ran".to_owned(),
+                    return Err(RetryFailure::Deadline(
+                        "deadline expired before the front stage ran",
                     ));
                 }
-                Err(ServiceError::Job(e)) => return Err((ErrorCode::Internal, e.to_string())),
+                Err(ServiceError::Job(e)) => return Err(RetryFailure::Internal(e.to_string())),
             };
-            match self.config.backoff.delay(attempt, &mut self.jitter) {
-                Some(delay) => {
-                    count(
-                        if transient == "queue full" {
-                            "server.retries_busy"
-                        } else {
-                            "server.retries_panic"
-                        },
-                        1,
-                    );
-                    trace.event(
-                        if transient == "queue full" {
-                            "retry.busy"
-                        } else {
-                            "retry.panic"
-                        },
-                        format!("{transient}, attempt={attempt}"),
-                    );
-                    thread::sleep(delay);
-                    attempt += 1;
-                }
-                None if transient == "queue full" => {
-                    return Err((
-                        ErrorCode::Busy,
-                        format!("queue stayed full through {attempt} retries"),
-                    ));
-                }
-                None => {
-                    return Err((
-                        ErrorCode::Internal,
-                        format!("worker panic survived {attempt} retries"),
-                    ));
-                }
-            }
+            let Some(delay) = self.config.backoff.delay(attempt, &mut self.jitter) else {
+                return Err(match transient {
+                    Transient::QueueFull => RetryFailure::Busy { retries: attempt },
+                    Transient::FrontPanic => {
+                        RetryFailure::Internal(format!("worker panic survived {attempt} retries"))
+                    }
+                });
+            };
+            let (counter, event, label) = match transient {
+                Transient::QueueFull => ("server.retries_busy", "retry.busy", "queue full"),
+                Transient::FrontPanic => ("server.retries_panic", "retry.panic", "front panic"),
+            };
+            count(counter, 1);
+            trace.event(event, format!("{label}, attempt={attempt}"));
+            thread::sleep(delay);
+            attempt += 1;
         }
     }
+}
+
+/// A transient failure the retry loop backs off from.
+#[derive(Clone, Copy)]
+enum Transient {
+    /// The front job was not admitted within the submit wait.
+    QueueFull,
+    /// The front job panicked.
+    FrontPanic,
+}
+
+/// Why a diagnosis ended without a report. It becomes a wire error code
+/// and message only when the error frame is written.
+enum RetryFailure {
+    /// The request token fired (deadline or drain) before completion.
+    Deadline(&'static str),
+    /// The queue stayed full through the whole retry budget.
+    Busy { retries: u32 },
+    /// The client went away while progress frames were streaming.
+    ConnectionLost,
+    /// A permanent failure: a flow error, or a worker panic that
+    /// survived the retry budget.
+    Internal(String),
+}
+
+impl RetryFailure {
+    fn code(&self) -> ErrorCode {
+        match self {
+            RetryFailure::Deadline(_) => ErrorCode::DeadlineExceeded,
+            RetryFailure::Busy { .. } => ErrorCode::Busy,
+            RetryFailure::ConnectionLost | RetryFailure::Internal(_) => ErrorCode::Internal,
+        }
+    }
+
+    fn message(&self) -> String {
+        match self {
+            RetryFailure::Deadline(message) => (*message).to_owned(),
+            RetryFailure::Busy { retries } => {
+                format!("queue stayed full through {retries} retries")
+            }
+            RetryFailure::ConnectionLost => "client connection lost mid-stream".to_owned(),
+            RetryFailure::Internal(message) => message.clone(),
+        }
+    }
+}
+
+/// Records `failure` on the trace and writes it as the request's error
+/// frame. Returns whether the write succeeded.
+fn write_failure(
+    stream: &mut TcpStream,
+    request_id: u64,
+    trace: &TraceContext,
+    failure: &RetryFailure,
+) -> bool {
+    let message = failure.message();
+    trace.event("error", message.clone());
+    frame::write_frame(
+        stream,
+        &error_frame(request_id, failure.code(), &message).with_trace_id(Some(trace.trace_id())),
+    )
+    .is_ok()
 }
 
 enum Fill {

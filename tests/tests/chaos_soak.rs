@@ -64,7 +64,7 @@ fn fixture() -> Fixture {
     let texts: Vec<String> = batch.iter().map(datalog_text::write).collect();
     let engine = BatchEngine::new(EngineConfig::with_workers(1));
     let reference = engine
-        .diagnose_batch(&ctx, &batch)
+        .diagnose_batch(&ctx, &batch, None, None)
         .expect("reference batch runs");
     let mut summaries = Vec::new();
     let mut degraded = Vec::new();

@@ -7,7 +7,7 @@
 //! steal counts, cache hit/miss splits); the redaction contract is what
 //! makes observed runs comparable across machines and worker counts.
 //!
-//! The collector installed by `diagnose_batch_observed` is process
+//! The collector installed by `diagnose_batch` is process
 //! global, so the tests in this binary serialize on a local lock (other
 //! integration test files are separate processes and cannot interfere).
 
@@ -49,7 +49,7 @@ fn observed_run(
     let engine = BatchEngine::new(EngineConfig::with_workers(workers));
     let collector = Collector::new();
     let report = engine
-        .diagnose_batch_observed(ctx, batch, Some(&collector))
+        .diagnose_batch(ctx, batch, Some(&collector), None)
         .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     (
@@ -88,7 +88,7 @@ fn eventsim_counters_are_present_and_scheduling_stable() {
         let engine = BatchEngine::new(EngineConfig::with_workers(workers));
         let collector = Collector::new();
         let report = engine
-            .diagnose_batch_observed(&ctx, batch.as_slice(), Some(&collector))
+            .diagnose_batch(&ctx, batch.as_slice(), Some(&collector), None)
             .expect("batch runs");
         assert_eq!(report.outcomes.len(), batch.len());
         let snap = collector.snapshot();
@@ -122,7 +122,7 @@ fn observed_run_records_job_spans_and_stage_histograms() {
     let engine = BatchEngine::new(EngineConfig::with_workers(4));
     let collector = Collector::new();
     let report = engine
-        .diagnose_batch_observed(&ctx, &batch, Some(&collector))
+        .diagnose_batch(&ctx, &batch, Some(&collector), None)
         .expect("batch runs");
 
     // One front span per datalog, one suspect span per suspect job —
@@ -169,7 +169,9 @@ fn unobserved_runs_record_nothing() {
     let bystander = Collector::new();
     // No collector attached: instrumentation stays disabled end to end,
     // and an uninstalled collector sees nothing.
-    let report = engine.diagnose_batch(&ctx, &batch).expect("batch runs");
+    let report = engine
+        .diagnose_batch(&ctx, &batch, None, None)
+        .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     assert!(bystander.snapshot().counters.is_empty());
     assert!(bystander.span_forest().is_empty());

@@ -11,7 +11,8 @@
 //!    daemon;
 //! 3. **graceful shutdown** — in-flight requests complete through a
 //!    drain, the accept loop refuses late arrivals, and `run` returns
-//!    `Clean` within its deadline.
+//!    `Clean` within its deadline (or without one, for `Duration::MAX`);
+//! 4. **config ingress** — a zero idle timeout is refused at `bind`.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -45,7 +46,7 @@ fn fixture() -> (
     let texts: Vec<String> = batch.iter().map(datalog_text::write).collect();
     let engine = BatchEngine::new(EngineConfig::with_workers(1));
     let reference = engine
-        .diagnose_batch(&ctx, &batch)
+        .diagnose_batch(&ctx, &batch, None, None)
         .expect("reference batch runs");
     let summaries: Vec<String> = reference
         .outcomes
@@ -299,5 +300,39 @@ fn client_shutdown_frame_drains_the_daemon() {
     let response = client.submit(&texts[0], 0).expect("request served");
     assert_eq!(response.summary, summaries[0]);
     client.shutdown_server().expect("shutdown acknowledged");
+    assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
+}
+
+#[test]
+fn zero_idle_timeout_is_rejected_at_bind() {
+    // A zero socket write timeout is an OS error, so such a daemon would
+    // close every connection without a frame; refuse it up front.
+    let ctx = ExperimentContext::from_preset(&generator::circuit_a(), 4, 16)
+        .expect("scaled circuit A builds")
+        .into_shared();
+    let config = ServerConfig {
+        idle_timeout: Duration::ZERO,
+        ..quick_config()
+    };
+    let err = Server::bind("127.0.0.1:0", ctx, config)
+        .err()
+        .expect("a zero idle timeout must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+#[test]
+fn unbounded_drain_deadline_drains_cleanly() {
+    // `Duration::MAX` cannot be added to an instant; it means "no drain
+    // deadline", not a panic at shutdown.
+    let (ctx, _batch, texts, summaries) = fixture();
+    let config = ServerConfig {
+        drain_deadline: Duration::MAX,
+        ..quick_config()
+    };
+    let (addr, handle, join) = start(Arc::clone(&ctx), config);
+    let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connects");
+    let response = client.submit(&texts[0], 0).expect("request served");
+    assert_eq!(response.summary, summaries[0]);
+    handle.shutdown();
     assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
 }
