@@ -1,5 +1,5 @@
-//! The collector: a process-global, installable sink for spans and
-//! metrics.
+//! The collector: a process-global, installable metrics sink that also
+//! owns the span store for work outside any per-request trace.
 //!
 //! Instrumentation sites call the free functions ([`counter`],
 //! [`gauge_set`], [`observe_us`], [`span`], [`stage`], …). When no
@@ -8,9 +8,9 @@
 //! of the hot CPT/ranking paths, enforced by
 //! `disabled_span_site_costs_almost_nothing`. When a [`Collector`] is
 //! installed (see [`Collector::install`]) the calls record into it from
-//! any thread; when the thread has additionally entered a per-request
-//! [`TraceContext`](crate::TraceContext), finished spans are *also*
-//! recorded into that trace.
+//! any thread — except that a span finished under an entered
+//! [`TraceContext`](crate::TraceContext) lands in that trace only (a
+//! [`stage`] span's histogram sample still goes to the collector).
 //!
 //! The active collector is process-global state: installing from two
 //! threads at once stacks (last install wins until its guard drops,
@@ -29,22 +29,22 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot, Stability};
-use crate::span::{build_forest, SpanNode};
+use crate::span::SpanNode;
+use crate::trace::{RawSpan, TraceContext, TraceInner};
 
-/// Count of live installs (global + thread-local, process-wide). The
-/// disabled fast path is exactly one relaxed load of this.
+/// Count of live installs (global + thread-local, process-wide); one of
+/// the two relaxed loads of the disabled fast path.
 static INSTALLS: AtomicUsize = AtomicUsize::new(0);
 static ACTIVE: RwLock<Option<Arc<Inner>>> = RwLock::new(None);
 /// Small dense per-thread ids (worker threads of one process), assigned
 /// on first use.
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-/// Process-global span id / start-order counters, shared by the
-/// collector and per-request traces so one open span can record into
-/// both with consistent parent linkage. Only *relative* order matters
+/// Process-global span id / start-order counters, shared by every span
+/// store so parent links never collide. Only *relative* order matters
 /// downstream, so a global counter preserves every canonicalization
 /// guarantee.
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
+pub(crate) static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+pub(crate) static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ID: Cell<Option<u64>> = const { Cell::new(None) };
@@ -58,7 +58,7 @@ thread_local! {
     static LOCAL: RefCell<Option<Arc<Inner>>> = const { RefCell::new(None) };
 }
 
-fn thread_id() -> u64 {
+pub(crate) fn thread_id() -> u64 {
     THREAD_ID.with(|c| match c.get() {
         Some(id) => id,
         None => {
@@ -76,21 +76,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One finished span as recorded, before canonicalization.
-#[derive(Debug, Clone)]
-pub(crate) struct RawSpan {
-    pub(crate) id: u64,
-    pub(crate) parent: Option<u64>,
-    pub(crate) name: &'static str,
-    pub(crate) attrs: Vec<(&'static str, u64)>,
-    pub(crate) thread: u64,
-    /// Global start-order sequence number; orders siblings (which run
-    /// sequentially on one thread) deterministically.
-    pub(crate) seq: u64,
-    pub(crate) start_us: u64,
-    pub(crate) duration_us: u64,
-}
-
 #[derive(Debug, Default)]
 struct MetricsStore {
     counters: std::collections::BTreeMap<&'static str, (u64, Stability)>,
@@ -100,9 +85,10 @@ struct MetricsStore {
 
 #[derive(Debug)]
 pub(crate) struct Inner {
-    epoch: Instant,
     metrics: Mutex<MetricsStore>,
-    spans: Mutex<Vec<RawSpan>>,
+    /// The span store for spans finished outside any entered trace: a
+    /// root trace (id 0) owned by this collector.
+    spans: TraceContext,
 }
 
 impl Inner {
@@ -182,26 +168,20 @@ pub fn observe_us_unstable(name: &'static str, us: u64) {
     }
 }
 
-/// An open span; finishing (dropping) it records the span and,
-/// for [`stage`] spans, a latency histogram sample. `None` inside when
-/// the collector is disabled — the whole guard is then a no-op.
+/// An open span; finishing (dropping) it records the span into its one
+/// store and, for [`stage`] spans, a latency histogram sample. `None`
+/// inside when nothing records — the whole guard is then a no-op.
 #[derive(Debug)]
 pub struct SpanGuard(Option<OpenSpan>);
 
 #[derive(Debug)]
 struct OpenSpan {
-    inner: Option<Arc<Inner>>,
-    trace: Option<Arc<crate::trace::TraceInner>>,
-    id: u64,
-    parent: Option<u64>,
-    name: &'static str,
-    attrs: Vec<(&'static str, u64)>,
-    seq: u64,
-    start: Instant,
-    /// Start offset relative to the *collector's* epoch (the trace sink
-    /// recomputes its own offset from `start`).
-    start_us: u64,
-    record_histogram: bool,
+    /// The one store the finished span lands in.
+    sink: Arc<TraceInner>,
+    /// The collector receiving a [`stage`] span's histogram sample.
+    histogram: Option<Arc<Inner>>,
+    /// The span's record; its duration is filled in on drop.
+    raw: RawSpan,
 }
 
 fn open_span(
@@ -213,11 +193,14 @@ fn open_span(
     if INSTALLS.load(Ordering::Relaxed) == 0 && !crate::trace::any_entered() {
         return SpanGuard(None);
     }
-    let inner = active();
     let trace = crate::trace::current();
-    if inner.is_none() && trace.is_none() {
+    // The collector is needed only for a stage histogram, or as the
+    // span store when the thread has entered no trace.
+    let collector = (record_histogram || trace.is_none()).then(active).flatten();
+    let Some(sink) = trace.or_else(|| collector.as_ref().map(|c| Arc::clone(&c.spans.inner)))
+    else {
         return SpanGuard(None);
-    }
+    };
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| {
@@ -226,82 +209,53 @@ fn open_span(
         s.push(id);
         parent
     });
-    let start = Instant::now();
     SpanGuard(Some(OpenSpan {
-        start_us: inner
-            .as_ref()
-            .map(|i| start.duration_since(i.epoch).as_micros() as u64)
-            .unwrap_or(0),
-        inner,
-        trace,
-        id,
-        parent,
-        name,
-        attrs: attrs.to_vec(),
-        seq,
-        start,
-        record_histogram,
+        raw: RawSpan {
+            id,
+            parent,
+            name,
+            attrs: attrs.to_vec(),
+            thread: thread_id(),
+            seq,
+            start: Instant::now(),
+            duration_us: 0,
+        },
+        sink,
+        histogram: collector.filter(|_| record_histogram),
     }))
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(open) = self.0.take() else {
+        let Some(OpenSpan {
+            sink,
+            histogram,
+            mut raw,
+        }) = self.0.take()
+        else {
             return;
         };
-        let duration_us = open.start.elapsed().as_micros() as u64;
+        raw.duration_us = raw.start.elapsed().as_micros() as u64;
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Defensive: only unwind our own frame (guards drop LIFO in
             // well-formed code, but a leaked guard must not corrupt the
             // stack for unrelated spans).
-            if s.last() == Some(&open.id) {
+            if s.last() == Some(&raw.id) {
                 s.pop();
-            } else if let Some(pos) = s.iter().rposition(|&id| id == open.id) {
+            } else if let Some(pos) = s.iter().rposition(|&id| id == raw.id) {
                 s.truncate(pos);
             }
         });
-        let raw = RawSpan {
-            id: open.id,
-            parent: open.parent,
-            name: open.name,
-            attrs: open.attrs,
-            thread: thread_id(),
-            seq: open.seq,
-            start_us: open.start_us,
-            duration_us,
-        };
-        if let Some(trace) = open.trace {
-            trace.record_span(raw.clone(), open.start);
+        if let Some(collector) = histogram {
+            collector.observe_us(raw.name, raw.duration_us, Stability::Stable);
         }
-        if let Some(inner) = open.inner {
-            if open.record_histogram {
-                inner.observe_us(open.name, duration_us, Stability::Stable);
-            }
-            lock(&inner.spans).push(raw);
-        }
-    }
-}
-
-/// Builds a finished root-level span record for work measured outside
-/// the guard machinery — e.g. the frame decode that *produces* a
-/// request's trace id, which necessarily completes before the trace
-/// exists. Only the trace sink injects these.
-pub(crate) fn external_raw_span(name: &'static str, duration_us: u64) -> RawSpan {
-    RawSpan {
-        id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-        parent: None,
-        name,
-        attrs: Vec::new(),
-        thread: thread_id(),
-        seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
-        start_us: 0,
-        duration_us,
+        sink.record_span(raw);
     }
 }
 
 /// Opens a span named `name` as a child of the thread's innermost open
-/// span. One atomic load when disabled.
+/// span. Two relaxed atomic loads when disabled.
 pub fn span(name: &'static str) -> SpanGuard {
     open_span(name, &[], false)
 }
@@ -340,9 +294,8 @@ impl Collector {
     pub fn new() -> Self {
         Collector {
             inner: Arc::new(Inner {
-                epoch: Instant::now(),
                 metrics: Mutex::default(),
-                spans: Mutex::default(),
+                spans: TraceContext::new(0),
             }),
         }
     }
@@ -389,12 +342,12 @@ impl Collector {
         }
     }
 
-    /// The finished spans as a canonical forest: roots ordered by their
-    /// job identity (`datalog`/`slot` attributes) rather than completion
-    /// order, children by start order — reproducible at any worker
-    /// count.
+    /// The spans that finished outside any entered trace, as a
+    /// canonical forest: roots ordered by their job identity
+    /// (`datalog`/`slot` attributes) rather than completion order,
+    /// children by start order — reproducible at any worker count.
     pub fn span_forest(&self) -> Vec<SpanNode> {
-        build_forest(&lock(&self.inner.spans))
+        self.inner.spans.span_forest()
     }
 
     /// The span forest as JSON. With `redact`, timing- and

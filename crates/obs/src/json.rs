@@ -115,6 +115,12 @@ impl fmt::Display for JsonError {
 
 impl Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts, so that
+/// hostile input (a daemon's Stats payload, a metrics file) gets a
+/// [`JsonError`] instead of overflowing the stack. A span forest of `n`
+/// nested spans nests `2n + 2` deep, so the cap admits 63 nested spans.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -125,14 +131,15 @@ struct Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including arrays and objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing data after document"));
@@ -176,10 +183,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Parses one value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -189,7 +200,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -203,7 +214,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             map.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -217,7 +228,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -227,7 +238,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -350,6 +361,41 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let e = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert_eq!(e.offset, MAX_DEPTH);
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        parse(&at_cap).expect("nesting exactly at the cap parses");
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(parse(&past_cap).expect_err("one past").offset, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        parse(&objects).expect("objects at the cap parse");
+    }
+
+    #[test]
+    fn the_deepest_span_forest_under_the_cap_parses() {
+        // The span forest is the deepest document the crate writes: each
+        // nested span adds an object and its `children` array.
+        let node = |children: Vec<crate::SpanNode>| crate::SpanNode {
+            name: "t.nest",
+            attrs: vec![("datalog", 0)],
+            thread: 0,
+            start_us: 0,
+            duration_us: 1,
+            children,
+        };
+        let spans = (MAX_DEPTH - 2) / 2;
+        let chain = (1..spans).fold(node(Vec::new()), |child, _| node(vec![child]));
+        assert_eq!(chain.size(), spans);
+        for redact in [false, true] {
+            parse(&crate::forest_json(std::slice::from_ref(&chain), redact))
+                .expect("span forest parses");
+        }
+        let deeper = node(vec![chain]);
+        assert!(parse(&crate::forest_json(&[deeper], false)).is_err());
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   functions costing **two relaxed atomic loads** when no
 //!   [`Collector`] is installed and no trace is entered, so the hot
 //!   CPT/ranking paths can stay instrumented always.
-//! * **Per-request traces** — a [`TraceContext`] entered on every
+//! * **One span store per span** — a [`TraceContext`] entered on every
 //!   thread serving one wire request records that request's span forest
-//!   and point events ([`trace_event`]) independently of the
-//!   process-global stream, for structured per-request logging.
+//!   and point events ([`trace_event`]) for structured per-request
+//!   logging; spans finished outside any trace land in the collector's
+//!   own root trace instead, so each span is stored exactly once.
 //! * **Rolling windows** — [`WindowedHistogram`] keeps a ring of time
 //!   slices so a live endpoint can report p50/p95/p99
 //!   ([`HistogramSnapshot::percentile_us`]) over recent traffic.
@@ -175,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn entered_traces_capture_spans_alongside_the_collector() {
+    fn entered_traces_take_spans_instead_of_the_collector() {
         let _serial = serial();
         let collector = Collector::new();
         let trace = TraceContext::new(0xabc);
@@ -189,9 +190,8 @@ mod tests {
         assert_eq!(in_trace.len(), 1);
         assert_eq!(in_trace[0].name, "t.request");
         assert_eq!(in_trace[0].children[0].name, "t.stage");
-        let in_collector = collector.span_forest();
-        assert_eq!(in_collector.len(), 1);
-        assert_eq!(in_collector[0].children[0].name, "t.stage");
+        // Each span lands in exactly one store: the entered trace.
+        assert!(collector.span_forest().is_empty());
         // Stage histograms stay a collector concern.
         assert_eq!(collector.snapshot().histograms["t.stage"].count, 1);
     }

@@ -18,9 +18,10 @@
 //! byte-identical at 1 and 8 workers.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
-use crate::collector::RawSpan;
 use crate::json;
+use crate::trace::RawSpan;
 
 /// One span in the canonical forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +32,7 @@ pub struct SpanNode {
     pub attrs: Vec<(&'static str, u64)>,
     /// Dense per-process id of the recording thread.
     pub thread: u64,
-    /// Start offset from collector creation (µs).
+    /// Start offset from the creation of the span's store (µs).
     pub start_us: u64,
     /// Wall-clock duration (µs).
     pub duration_us: u64,
@@ -50,23 +51,29 @@ impl SpanNode {
     }
 }
 
-fn build_node(raw: &RawSpan, children_of: &BTreeMap<u64, Vec<&RawSpan>>) -> SpanNode {
+fn build_node(
+    raw: &RawSpan,
+    children_of: &BTreeMap<u64, Vec<&RawSpan>>,
+    epoch: Instant,
+) -> SpanNode {
     let mut children: Vec<&RawSpan> = children_of.get(&raw.id).cloned().unwrap_or_default();
     children.sort_by_key(|c| c.seq);
     SpanNode {
         name: raw.name,
         attrs: raw.attrs.clone(),
         thread: raw.thread,
-        start_us: raw.start_us,
+        start_us: raw.start.saturating_duration_since(epoch).as_micros() as u64,
         duration_us: raw.duration_us,
         children: children
             .into_iter()
-            .map(|c| build_node(c, children_of))
+            .map(|c| build_node(c, children_of, epoch))
             .collect(),
     }
 }
 
-pub(crate) fn build_forest(raws: &[RawSpan]) -> Vec<SpanNode> {
+/// Canonicalizes one store's spans; start offsets count from the
+/// store's `epoch` (a span started earlier clamps to zero).
+pub(crate) fn build_forest(raws: &[RawSpan], epoch: Instant) -> Vec<SpanNode> {
     let ids: std::collections::BTreeSet<u64> = raws.iter().map(|r| r.id).collect();
     let mut children_of: BTreeMap<u64, Vec<&RawSpan>> = BTreeMap::new();
     let mut roots: Vec<&RawSpan> = Vec::new();
@@ -83,7 +90,7 @@ pub(crate) fn build_forest(raws: &[RawSpan]) -> Vec<SpanNode> {
     let mut keyed: Vec<(RootKey, SpanNode)> = roots
         .into_iter()
         .map(|r| {
-            let node = build_node(r, &children_of);
+            let node = build_node(r, &children_of, epoch);
             (root_key(&node, r.seq), node)
         })
         .collect();

@@ -1,5 +1,6 @@
-//! Per-request traces: a second, request-scoped span sink that rides
-//! the same instrumentation sites as the process collector.
+//! Per-request traces: the one span store. Each finished span lands in
+//! exactly one — the trace its thread has entered, or else the root
+//! trace (id 0) of the active [`Collector`](crate::Collector).
 //!
 //! The server mints (or accepts from the client) a 64-bit trace id per
 //! wire request and creates a [`TraceContext`]. Every thread that does
@@ -7,11 +8,11 @@
 //! response encode, each engine worker inside the request's jobs —
 //! [`enter`](TraceContext::enter)s the context for the duration of that
 //! work. While entered, every span opened by [`span`](crate::span) /
-//! [`stage`](crate::stage) is recorded into the trace *in addition to*
-//! whatever collector is installed, so one request's full span forest
-//! (frame decode → engine job → flow stages) can be serialized as a
-//! single structured event-log record, without fishing it back out of
-//! the process-global stream.
+//! [`stage`](crate::stage) is recorded into the trace *instead of* the
+//! collector's store, so one request's full span forest (frame decode →
+//! engine job → flow stages) can be serialized as a single structured
+//! event-log record, and a long-lived collector does not grow with the
+//! requests it serves. Metrics still go to the installed collector.
 //!
 //! Timestamped point events (retries, degradations, per-device
 //! progress) attach to the trace via [`TraceContext::event`] or, from
@@ -28,7 +29,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::collector::RawSpan;
+use crate::collector::{thread_id, NEXT_SEQ, NEXT_SPAN_ID};
 use crate::span::{build_forest, SpanNode};
 
 /// Count of entered trace guards process-wide; the disabled fast path
@@ -55,6 +56,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// One finished span as recorded, before canonicalization.
+#[derive(Debug)]
+pub(crate) struct RawSpan {
+    pub(crate) id: u64,
+    pub(crate) parent: Option<u64>,
+    pub(crate) name: &'static str,
+    pub(crate) attrs: Vec<(&'static str, u64)>,
+    pub(crate) thread: u64,
+    /// Global start-order sequence number; orders siblings (which run
+    /// sequentially on one thread) deterministically.
+    pub(crate) seq: u64,
+    pub(crate) start: Instant,
+    pub(crate) duration_us: u64,
+}
+
 /// One timestamped point event on a trace (a retry, a degradation, a
 /// per-device completion).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +92,7 @@ pub(crate) struct TraceInner {
 }
 
 impl TraceInner {
-    pub(crate) fn record_span(&self, mut raw: RawSpan, start: Instant) {
-        raw.start_us = start.duration_since(self.epoch).as_micros() as u64;
+    pub(crate) fn record_span(&self, raw: RawSpan) {
         lock(&self.spans).push(raw);
     }
 
@@ -96,7 +111,7 @@ impl TraceInner {
 /// the executing thread.
 #[derive(Debug, Clone)]
 pub struct TraceContext {
-    inner: Arc<TraceInner>,
+    pub(crate) inner: Arc<TraceInner>,
 }
 
 impl TraceContext {
@@ -150,8 +165,16 @@ impl TraceContext {
         start: Instant,
         duration: std::time::Duration,
     ) {
-        let raw = crate::collector::external_raw_span(name, duration.as_micros() as u64);
-        self.inner.record_span(raw, start);
+        self.inner.record_span(RawSpan {
+            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+            parent: None,
+            name,
+            attrs: Vec::new(),
+            thread: thread_id(),
+            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
+            start,
+            duration_us: duration.as_micros() as u64,
+        });
     }
 
     /// The recorded point events, in record order.
@@ -162,7 +185,7 @@ impl TraceContext {
     /// The finished spans as a canonical forest (same ordering rules as
     /// [`Collector::span_forest`](crate::Collector::span_forest)).
     pub fn span_forest(&self) -> Vec<SpanNode> {
-        build_forest(&lock(&self.inner.spans))
+        build_forest(&lock(&self.inner.spans), self.inner.epoch)
     }
 }
 
